@@ -98,10 +98,7 @@ def run_engine(app: str, policy: str, graph, engine: str) -> dict:
     pgraph = partition(graph, HOSTS, policy)
     cluster = Cluster(HOSTS, threads_per_host=THREADS)
     executor = Executor(cluster, engine=engine)
-    try:
-        result = KIMBAP_APPS[app](cluster, pgraph, executor=executor)
-    finally:
-        executor.close()
+    result = KIMBAP_APPS[app](cluster, pgraph, executor=executor)
     elapsed = cluster.elapsed()
     cell = {
         "app": app,

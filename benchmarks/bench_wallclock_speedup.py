@@ -1,48 +1,34 @@
 #!/usr/bin/env python
-"""Wall-clock speedup of the bulk, codegen, and host-parallel paths.
+"""Wall-clock speedup of the bulk and codegen paths.
 
 Standalone script (no pytest dependency - CI's smoke job runs it directly):
-for each app cell it runs the full backend matrix on the same workload -
-scalar ``jobs=1`` (the oracle), scalar ``jobs=4``, interpreted bulk
-``jobs=1`` (``codegen=False``), generated-kernel bulk ``jobs=1``
-(``repro.exec.codegen``, the bulk default), and bulk ``jobs=2/4``
-(host-shard process parallelism, ``repro.exec.pool``) - times every
-variant with ``time.perf_counter`` over a cell-shared prebuilt
+for each app cell it runs the backend matrix on the same workload -
+scalar (the oracle), interpreted bulk (``codegen=False``), and
+generated-kernel bulk (``repro.exec.codegen``, the bulk default) - times
+every variant with ``time.perf_counter`` over a cell-shared prebuilt
 partition (graph loading/partitioning is excluded from the measured
 region, matching how the paper reports execution time), and **asserts
-the byte-identical equivalence contract** against the scalar oracle: ``RunResult.to_dict()``
-(counters, conflict counts, modeled seconds, traces) and the final
-property values must match exactly. Any divergence exits non-zero, so
-the CI smoke job doubles as the equivalence gate.
+the byte-identical equivalence contract** against the scalar oracle:
+``RunResult.to_dict()`` (counters, conflict counts, modeled seconds,
+traces) and the final property values must match exactly. Any
+divergence exits non-zero, so the CI smoke job doubles as the
+equivalence gate.
 
-On runners with at least 4 cores the script additionally gates on real
-parallel speedup: the headline cell's scalar ``jobs=4`` run must beat
-scalar ``jobs=1`` by ``REPRO_BENCH_MIN_PARALLEL_SPEEDUP`` (default 1.8x),
-bulk ``jobs=2`` must beat bulk ``jobs=1`` by
-``REPRO_BENCH_MIN_BULK_J2_SPEEDUP`` (default 1.3x), and generated
-kernels must beat the interpreted bulk path by
-``REPRO_BENCH_MIN_CODEGEN_SPEEDUP`` (default 1.2x) at the same jobs=1
-configuration (that ratio is core-count independent, but it shares the
-gate switch so loaded single-core machines never fail on timer noise).
+On runners with at least 4 cores the script additionally gates the
+headline cell's generated kernels against the interpreted bulk path at
+``REPRO_BENCH_MIN_CODEGEN_SPEEDUP`` (default 1.2x). The ratio is
+core-count independent, but the gate arms only there so loaded
+single-core machines never fail on timer noise.
 The full (non-fast) sweep additionally runs the **SSSP frontier-codegen
 floor** (``FRONTIER_FLOOR_CELL``): road SSSP at scale 4 - the
 hundreds-of-rounds wavefront workload the compiled frontier kernels of
 ``repro.exec.codegen.PreparedFrontierPush`` exist for - timed min-of-N
 interpreted vs generated, gated on the same
 ``REPRO_BENCH_MIN_CODEGEN_SPEEDUP`` floor and on byte-identical
-results. The scalar backend is
-the easy parallelism demonstration: its compute phases dominate the run.
-The bulk gate is the honest one (the COST caution of PAPERS.md): the
-vectorized baseline is fast, so winning against it demands the
-shared-memory aggregated exchange of ``repro.exec.pool`` - persistent
-warm workers, one zero-copy bundle per worker per sync boundary - rather
-than per-phase pickled round-trips. The report records the exchange
-instrumentation (``bytes_exchanged``, ``segments_peak``) per cell so the
-aggregation win is visible in the artifact.
-Single-core machines still verify the full equivalence matrix - the
-determinism contract is core-count independent - and record the measured
-ratios without gating; set ``REPRO_BENCH_REQUIRE_SPEEDUP=1`` to force the
-gates regardless of core count.
+results. Machines with fewer cores still verify the full equivalence
+matrix and record the measured ratios without gating; set
+``REPRO_BENCH_REQUIRE_SPEEDUP=1`` to force the gates regardless of core
+count.
 
 Outputs ``benchmarks/reports/bench_wallclock_speedup.{json,txt}`` in the
 standard ``repro-bench-report/v1`` schema. Environment knobs match the
@@ -66,39 +52,25 @@ from repro.eval.workloads import load_graph  # noqa: E402
 from repro.partition import partition  # noqa: E402
 
 REPORT_SCHEMA = "repro-bench-report/v1"
-TITLE = (
-    "Bulk + host-parallel execution paths: wall-clock speedup "
-    "(byte-identical metrics)"
-)
-# Backend matrix per cell: (column key, bulk flag, jobs, codegen). The
-# scalar jobs=1 run is the oracle every other variant must match byte for
-# byte; bulk_nocg_j1 pins the interpreted bulk kernels (codegen=False) as
-# the honest baseline for the codegen speedup column.
+TITLE = "Bulk + codegen execution paths: wall-clock speedup (byte-identical metrics)"
+# Backend matrix per cell: (column key, bulk flag, codegen). The scalar run
+# is the oracle every other variant must match byte for byte; bulk_nocg
+# pins the interpreted bulk kernels (codegen=False) as the honest baseline
+# for the codegen speedup column.
 MATRIX = (
-    ("scalar_j1", False, 1, None),
-    ("scalar_j4", False, 4, None),
-    ("bulk_nocg_j1", True, 1, False),
-    ("bulk_j1", True, 1, None),
-    ("bulk_j2", True, 2, None),
-    ("bulk_j4", True, 4, None),
+    ("scalar", False, None),
+    ("bulk_nocg", True, False),
+    ("bulk", True, None),
 )
 HEADERS = (
     "app",
     "graph",
     "hosts",
-    "scalar j1(s)",
-    "scalar j4(s)",
+    "scalar(s)",
     "bulk nocg(s)",
-    "bulk j1(s)",
-    "bulk j2(s)",
-    "bulk j4(s)",
+    "bulk(s)",
     "bulk/scalar",
     "codegen",
-    "scalar j4/j1",
-    "bulk j2/j1",
-    "bulk j4/j1",
-    "exchanged",
-    "segs",
     "identical",
 )
 
@@ -107,21 +79,13 @@ def fast_mode() -> bool:
     return os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
 
 
-def min_parallel_speedup() -> float:
-    return float(os.environ.get("REPRO_BENCH_MIN_PARALLEL_SPEEDUP", "1.8"))
-
-
-def min_bulk_j2_speedup() -> float:
-    return float(os.environ.get("REPRO_BENCH_MIN_BULK_J2_SPEEDUP", "1.3"))
-
-
 def min_codegen_speedup() -> float:
     return float(os.environ.get("REPRO_BENCH_MIN_CODEGEN_SPEEDUP", "1.2"))
 
 
 def gate_speedup() -> bool:
-    """The >=1.8x scalar jobs=4 gate needs 4 real cores; equivalence
-    does not."""
+    """Speedup gates arm on runners with at least 4 cores (or when
+    forced); equivalence is always checked."""
     forced = os.environ.get("REPRO_BENCH_REQUIRE_SPEEDUP", "")
     if forced not in ("", "0"):
         return True
@@ -176,7 +140,7 @@ def run_frontier_floor() -> dict:
         start = time.perf_counter()
         result = run_kimbap(
             app, graph_name, hosts, graph=graph, pgraph=pgraph,
-            bulk=True, jobs=1, codegen=codegen,
+            bulk=True, codegen=codegen,
         )
         return time.perf_counter() - start, result
 
@@ -218,59 +182,36 @@ def run_cell(app: str, graph_name: str, hosts: int) -> dict:
     pgraph = partition(graph, hosts, APP_POLICY[app])
     wallclock: dict[str, float] = {}
     results: dict[str, object] = {}
-    for key, bulk, jobs, codegen in MATRIX:
+    for key, bulk, codegen in MATRIX:
         start = time.perf_counter()
         results[key] = run_kimbap(
             app, graph_name, hosts, graph=graph, pgraph=pgraph, bulk=bulk,
-            jobs=jobs, codegen=codegen,
+            codegen=codegen,
         )
         wallclock[key] = time.perf_counter() - start
-    oracle = results["scalar_j1"]
+    oracle = results["scalar"]
     oracle_bytes = canonical(oracle)
     diverged = sorted(
         key
         for key, result in results.items()
-        if key != "scalar_j1"
+        if key != "scalar"
         and (canonical(result) != oracle_bytes or result.values != oracle.values)
     )
-    # Exchange instrumentation of the widest parallel run (bulk jobs=4):
-    # bytes through the shared arenas + pipe fallbacks, peak live
-    # /dev/shm segments, forks, and warm (fork-free) pool reuses.
-    parallel = getattr(results["bulk_j4"], "parallel", None) or {}
     return {
         "app": app,
         "graph": graph_name,
         "hosts": hosts,
         "wallclock_s": wallclock,
         "bulk_speedup": (
-            wallclock["scalar_j1"] / wallclock["bulk_j1"]
-            if wallclock["bulk_j1"] > 0
-            else float("inf")
-        ),
-        "parallel_speedup": (
-            wallclock["scalar_j1"] / wallclock["scalar_j4"]
-            if wallclock["scalar_j4"] > 0
+            wallclock["scalar"] / wallclock["bulk"]
+            if wallclock["bulk"] > 0
             else float("inf")
         ),
         "codegen_speedup": (
-            wallclock["bulk_nocg_j1"] / wallclock["bulk_j1"]
-            if wallclock["bulk_j1"] > 0
+            wallclock["bulk_nocg"] / wallclock["bulk"]
+            if wallclock["bulk"] > 0
             else float("inf")
         ),
-        "bulk_j2_speedup": (
-            wallclock["bulk_j1"] / wallclock["bulk_j2"]
-            if wallclock["bulk_j2"] > 0
-            else float("inf")
-        ),
-        "bulk_parallel_speedup": (
-            wallclock["bulk_j1"] / wallclock["bulk_j4"]
-            if wallclock["bulk_j4"] > 0
-            else float("inf")
-        ),
-        "bytes_exchanged": int(parallel.get("bytes_exchanged", 0)),
-        "segments_peak": int(parallel.get("segments_peak", 0)),
-        "pool_forks": int(parallel.get("forks", 0)),
-        "pool_warm_runs": int(parallel.get("warm_runs", 0)),
         "modeled_total_s": oracle.total,
         "identical": not diverged,
         "diverged": diverged,
@@ -291,19 +232,11 @@ def main() -> int:
             r["app"],
             r["graph"],
             r["hosts"],
-            f"{r['wallclock_s']['scalar_j1']:.3f}",
-            f"{r['wallclock_s']['scalar_j4']:.3f}",
-            f"{r['wallclock_s']['bulk_nocg_j1']:.3f}",
-            f"{r['wallclock_s']['bulk_j1']:.3f}",
-            f"{r['wallclock_s']['bulk_j2']:.3f}",
-            f"{r['wallclock_s']['bulk_j4']:.3f}",
+            f"{r['wallclock_s']['scalar']:.3f}",
+            f"{r['wallclock_s']['bulk_nocg']:.3f}",
+            f"{r['wallclock_s']['bulk']:.3f}",
             f"{r['bulk_speedup']:.1f}x",
             f"{r['codegen_speedup']:.2f}x",
-            f"{r['parallel_speedup']:.2f}x",
-            f"{r['bulk_j2_speedup']:.2f}x",
-            f"{r['bulk_parallel_speedup']:.2f}x",
-            f"{r['bytes_exchanged'] / 1024:.0f}K",
-            r["segments_peak"],
             "yes" if r["identical"] else "DIVERGED",
         )
         for r in rows
@@ -336,8 +269,6 @@ def main() -> int:
         "matrix": [list(entry) for entry in MATRIX],
         "cpu_count": os.cpu_count(),
         "speedup_gated": gate_speedup(),
-        "min_parallel_speedup": min_parallel_speedup(),
-        "min_bulk_j2_speedup": min_bulk_j2_speedup(),
         "min_codegen_speedup": min_codegen_speedup(),
         "fast_mode": fast_mode(),
     }
@@ -351,28 +282,10 @@ def main() -> int:
             print(
                 f"EQUIVALENCE FAILURE: {r['app']} on {r['graph']} @ "
                 f"{r['hosts']} hosts - {key} RunResult.to_dict() diverged "
-                "from scalar jobs=1",
+                "from the scalar oracle",
                 file=sys.stderr,
             )
     headline = rows[0]
-    if gate_speedup() and headline["parallel_speedup"] < min_parallel_speedup():
-        failed = True
-        print(
-            f"SPEEDUP FAILURE: headline {headline['app']} "
-            f"{headline['graph']}@{headline['hosts']} scalar jobs=4 over "
-            f"jobs=1 is {headline['parallel_speedup']:.2f}x "
-            f"(< {min_parallel_speedup():.1f}x, cpu_count={os.cpu_count()})",
-            file=sys.stderr,
-        )
-    if gate_speedup() and headline["bulk_j2_speedup"] < min_bulk_j2_speedup():
-        failed = True
-        print(
-            f"SPEEDUP FAILURE: headline {headline['app']} "
-            f"{headline['graph']}@{headline['hosts']} bulk jobs=2 over "
-            f"jobs=1 is {headline['bulk_j2_speedup']:.2f}x "
-            f"(< {min_bulk_j2_speedup():.1f}x, cpu_count={os.cpu_count()})",
-            file=sys.stderr,
-        )
     if gate_speedup() and headline["codegen_speedup"] < min_codegen_speedup():
         failed = True
         print(
@@ -412,12 +325,7 @@ def main() -> int:
     print(
         f"headline: {headline['app']} {headline['graph']}@{headline['hosts']} "
         f"bulk/scalar {headline['bulk_speedup']:.1f}x, "
-        f"codegen {headline['codegen_speedup']:.2f}x, "
-        f"scalar j4/j1 {headline['parallel_speedup']:.2f}x, "
-        f"bulk j2/j1 {headline['bulk_j2_speedup']:.2f}x, "
-        f"bulk j4/j1 {headline['bulk_parallel_speedup']:.2f}x, "
-        f"exchanged {headline['bytes_exchanged']} bytes over "
-        f"{headline['segments_peak']} segments "
+        f"codegen {headline['codegen_speedup']:.2f}x "
         f"(cpu_count={os.cpu_count()}, gated={gate_speedup()})"
     )
     return 0

@@ -49,9 +49,6 @@ def cc_sv_hook_plan(
                         operator,
                         read_names=(parent.name,),
                         write_names=((parent.name, MIN.name),),
-                        # the work-done vote's host flags are compute-phase
-                        # effects too (host-shard execution ships them)
-                        extra_effects=(work_done,),
                     ),
                 )
             ),

@@ -158,10 +158,10 @@ def shortcut_plan(
 
 
 # Plan cache for the shortcut loops: CC-SV / CC-SCLP / MSF call
-# shortcut_until_flat once per outer round, and the parallel backend
-# (repro.exec.pool) reuses its warm forked workers only for plan objects
-# it has seen - a fresh Plan per call would force a refork every round.
-# Keyed weakly on the parent map so graphs/maps stay collectable.
+# shortcut_until_flat once per outer round, and the executor's compiled
+# plans (repro.exec.codegen) are cached per plan object - a fresh Plan per
+# call would recompile every round. Keyed weakly on the parent map so
+# graphs/maps stay collectable.
 _shortcut_plans: "weakref.WeakKeyDictionary[NodePropMap, dict]" = (
     weakref.WeakKeyDictionary()
 )

@@ -90,6 +90,14 @@ def sssp(
     executor = resolve_executor(cluster, executor, bulk, "sssp")
     if not 0 <= source < pgraph.num_nodes:
         raise ValueError(f"source {source} out of range")
+    weights = pgraph.graph.weights
+    if not unit_weights and weights is not None and weights.size and weights.min() < 0:
+        # Bellman-Ford relaxation never quiesces around a negative cycle
+        # (every undirected negative edge is one): fail at entry instead
+        # of spinning to the round cap.
+        raise ValueError(
+            f"SSSP needs non-negative edge weights; minimum weight is {weights.min()}"
+        )
     dist = NodePropMap(cluster, pgraph, "sssp_dist", variant=variant)
     executor.init_map(dist, lambda nodes: np.where(nodes == source, 0.0, UNREACHED))
     dist.pin_mirrors(invariant="none")

@@ -8,7 +8,7 @@ applies the same discipline to its own execution backends: these
 baselines are deliberately plain single-threaded Python loops over the
 CSR arrays - no simulator, no metering, no per-phase bookkeeping - and
 ``benchmarks/bench_cost_baseline.py`` reports, per app, the cheapest
-``(backend, jobs)`` configuration whose wall clock beats them.
+backend configuration whose wall clock beats them.
 
 Mirroring the COST paper's two baseline strengths, each app gets two:
 

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-from typing import Sequence
-
-import numpy as np
 
 
 class PhaseKind(enum.Enum):
@@ -101,23 +98,6 @@ class Counters:
 
 
 COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(Counters))
-
-
-def counters_to_rows(rows: Sequence[Counters]) -> np.ndarray:
-    """Pack counters into one ``int64`` matrix, one row per host: the
-    shared-memory accumulation layout of the parallel exchange
-    (:mod:`repro.exec.pool`), column order = ``COUNTER_FIELDS``."""
-    return np.array(
-        [[getattr(c, name) for name in COUNTER_FIELDS] for c in rows],
-        dtype=np.int64,
-    )
-
-
-def add_counter_row(counters: Counters, row: np.ndarray) -> None:
-    """Fold one packed row back in, keeping the fields plain Python ints
-    (byte-identity: ``as_dict`` must serialize exactly as a serial run)."""
-    for name, value in zip(COUNTER_FIELDS, row):
-        setattr(counters, name, getattr(counters, name) + int(value))
 
 
 @dataclass

@@ -319,36 +319,6 @@ class GarHostStore:
                 changed_keys.append(int(keys[pos]))
         return np.asarray(changed_keys, dtype=np.int64)
 
-    # -- uncharged replica installs (host-sharded sync collectives) ------------
-
-    def _locals_uncharged(self, keys: np.ndarray) -> list[int]:
-        """Global-to-local translation with no counter charges: the peer
-        that produced a sharded-sync delta already paid the modeled cost
-        of the work; installing the delta on a replica is free."""
-        if self._masters_contiguous:
-            return (keys - self._master_base).tolist()
-        return self._translate_arr()[keys].tolist()
-
-    def peek_masters(self, keys: np.ndarray) -> list[Any]:
-        """Uncharged :meth:`serve_master_bulk`, for exporting the values a
-        sharded reduce-sync changed (the applies were already charged)."""
-        store = self.values
-        return [store[i] for i in self._locals_uncharged(keys)]
-
-    def poke_masters(self, keys: np.ndarray, values: list[Any]) -> None:
-        """Uncharged :meth:`write_master_bulk`: install a peer's owner-side
-        apply results into this replica."""
-        store = self.values
-        for local, value in zip(self._locals_uncharged(keys), values):
-            store[local] = value
-
-    def poke_mirrors(self, keys: np.ndarray, values: list[Any]) -> None:
-        """Uncharged :meth:`write_mirror_bulk`: install a peer's broadcast
-        fan-out writes into this replica."""
-        store = self.values
-        for local, value in zip(self._translate_arr()[keys].tolist(), values):
-            store[local] = value
-
     def write_mirror_bulk(self, keys: np.ndarray, values: list[Any]) -> None:
         """Batched :meth:`write_mirror` with aggregate accounting."""
         count = int(keys.size)
@@ -425,74 +395,6 @@ class GarHostStore:
         self._remote_values = copy.deepcopy(state["remote_values"])
         self._remote_hash = copy.deepcopy(state["remote_hash"])
         self.pinned = state["pinned"]
-
-    # -- shared-slab export (repro.exec.pool epoch protocol) -----------------
-
-    def export_values_slab(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The dense value vector as ``(values, valid)`` numpy arrays, or
-        None when it cannot round-trip exactly.
-
-        The slab is the zero-copy transport of the parallel backend's
-        epoch blobs: protocol-5 pickling ships both arrays as raw buffers
-        straight into a shared-memory arena. Only exact native ``int`` /
-        ``float`` homogeneous vectors qualify (``bool`` stays out - it is
-        an ``int`` subclass but must not come back as one; huge ints
-        overflow ``int64``); anything else falls back to the generic
-        checkpoint encoding.
-        """
-        values = self.values
-        mask = np.fromiter(
-            (v is not None for v in values), dtype=bool, count=len(values)
-        )
-        present = [v for v in values if v is not None]
-        if all(type(v) is int for v in present):
-            dtype: Any = np.int64
-        elif all(type(v) is float for v in present):
-            dtype = np.float64
-        else:
-            return None
-        slab = np.zeros(len(values), dtype=dtype)
-        try:
-            slab[mask] = present
-        except (OverflowError, ValueError):
-            return None
-        return slab, mask
-
-    def attach_values_slab(self, slab: np.ndarray, mask: np.ndarray) -> None:
-        """Replace the value vector from an exported slab, restoring the
-        exact native scalar types (``.tolist()`` yields ``int``/``float``)."""
-        values: list[Any] = [None] * len(mask)
-        unpacked = slab.tolist()
-        for local, ok in enumerate(mask.tolist()):
-            if ok:
-                values[local] = unpacked[local]
-        self.values = values
-
-    def export_epoch(self) -> tuple:
-        slab = self.export_values_slab()
-        if slab is None:
-            return ("raw", self.checkpoint())
-        values, mask = slab
-        return (
-            "slab",
-            values,
-            mask,
-            self._remote_keys.copy(),
-            list(self._remote_values),
-            dict(self._remote_hash),
-            self.pinned,
-        )
-
-    def install_epoch(self, state: tuple) -> None:
-        if state[0] == "raw":
-            self.restore(state[1])
-            return
-        _, values, mask, remote_keys, remote_values, remote_hash, pinned = state
-        self.attach_values_slab(values, mask)
-        self._remote_keys = np.asarray(remote_keys, dtype=np.int64)
-        self._remote_values = list(remote_values)
-        self._remote_hash = dict(remote_hash)
-        self.pinned = bool(pinned)
 
     # -- pinned mirrors ----------------------------------------------------------
 
@@ -666,14 +568,6 @@ class HashHostStore:
         self.owned = copy.deepcopy(state["owned"])
         self.cache = copy.deepcopy(state["cache"])
         self.pinned = state["pinned"]
-
-    def export_epoch(self) -> tuple:
-        # Hash layouts have no dense slab; the generic checkpoint encoding
-        # is the honest transport (these variants are the slow baselines).
-        return ("raw", self.checkpoint())
-
-    def install_epoch(self, state: tuple) -> None:
-        self.restore(state[1])
 
     def pin(self) -> None:
         self.pinned = True

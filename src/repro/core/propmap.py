@@ -535,22 +535,12 @@ class NodePropMap:
             )
         self._report_memory()
 
-    def reduce_sync(self, pool: Any = None) -> None:
-        """Scatter-gather-reduce: route partials to owners, apply, vote.
-
-        ``pool`` (a ``repro.exec.pool.HostShardPool`` endpoint mid-run)
-        opts into the host-sharded collective: when the pending state is
-        bulk-foldable GAR state, each process folds and applies only its
-        own shard's hosts and the group converges through two shared-arena
-        all-gathers (:meth:`_sgr_reduce_sharded`). Anything else - scalar
-        dict state, object-valued batches, non-GAR variants - falls back
-        to the replicated serial path; the decision inputs are replicated
-        state, so every process picks the same branch.
-        """
+    def reduce_sync(self) -> None:
+        """Scatter-gather-reduce: route partials to owners, apply, vote."""
         # Peak-footprint moment: thread-local maps full, remote cache
         # still materialized.
         self._report_memory()
-        with self.cluster.phase(PhaseKind.REDUCE_SYNC, label=self.name) as record:
+        with self.cluster.phase(PhaseKind.REDUCE_SYNC, label=self.name):
             if self.variant.uses_kvstore:
                 # Reductions already applied via CAS; ReduceSync is a no-op
                 # apart from dropping stale caches and the round vote.
@@ -559,19 +549,7 @@ class NodePropMap:
                 self.reductions[0].collect(self._op or ReduceOp("noop", lambda a, b: a))
                 self.cluster.network.allreduce(1)
             else:
-                op = self._op
-                if (
-                    pool is not None
-                    and self.variant.uses_gar
-                    and op is not None
-                    and all(
-                        getattr(reduction, "bulk_state_only", False)
-                        for reduction in self.reductions
-                    )
-                ):
-                    self._sgr_reduce_sharded(op, pool, record)
-                else:
-                    self._sgr_reduce()
+                self._sgr_reduce()
                 self.cluster.network.allreduce(1)
         if not self.variant.uses_gar:
             # Without GAR there is no locally-materialized master copy, so
@@ -657,98 +635,6 @@ class NodePropMap:
         for store in self.stores:
             store.drop_remote()
 
-    def _sgr_reduce_sharded(self, op: ReduceOp, pool: Any, record: Any) -> None:
-        """Host-sharded :meth:`_sgr_reduce_bulk` (the ``jobs=N`` backend).
-
-        Stage 1 - sharded collect: each process folds the pending
-        reductions of its own shard's source hosts (the combine charges
-        land there) and discards the identical replicas of the rest; one
-        all-gather distributes the folded arrays, after which every
-        process holds the full routing input.
-
-        Stage 2 - sharded apply: each process routes all payloads but
-        applies only those bound for owners in its shard, in the exact
-        serial per-owner order (the self-owned partial first - the serial
-        host scan applies it inline at ``src == owner`` - then cross-host
-        payloads by ascending source), charging the sends and owner-side
-        counters for exactly that work. A second all-gather ships each
-        owner's changed ``(key, value)`` deltas plus the phase's counter
-        and traffic rows; replicas install the deltas uncharged and the
-        coordinator folds the rows into ``record``. Every payload is
-        handled by exactly one process and per-host charges are additive,
-        so the merged record and final state are byte-identical to the
-        serial visit.
-        """
-        num_hosts = self.cluster.num_hosts
-        folded: list[tuple[np.ndarray, np.ndarray] | None] = [None] * num_hosts
-        for host in range(num_hosts):
-            if host in pool.shard:
-                folded[host] = self.reductions[host].collect_arrays(op)
-            else:
-                self.reductions[host].discard()
-        gathered = pool.exchange_shards([folded[host] for host in pool.shard])
-        for index, shard in enumerate(pool.shards):
-            for host, arrays in zip(shard, gathered[index]):
-                folded[host] = arrays
-        own_partial: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        incoming: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-        for src in range(num_hosts):
-            keys, values = folded[src]
-            if keys.size == 0:
-                continue
-            owners = self.pgraph.owner[keys]
-            own = owners == src
-            if own.any():
-                own_partial[src] = (keys[own], values[own])
-            remote = ~own
-            if remote.any():
-                remote_keys = keys[remote]
-                remote_values = values[remote]
-                remote_owners = owners[remote]
-                for owner_host in np.unique(remote_owners).tolist():
-                    mask = remote_owners == owner_host
-                    incoming.setdefault(int(owner_host), []).append(
-                        (src, remote_keys[mask], remote_values[mask])
-                    )
-        deltas: dict[int, tuple[np.ndarray, list[Any]]] = {}
-        for dst in pool.shard:
-            sequence: list[tuple[int, np.ndarray, np.ndarray]] = []
-            if dst in own_partial:
-                keys, values = own_partial[dst]
-                sequence.append((dst, keys, values))
-            sequence.extend(incoming.get(dst, ()))
-            changed_keys: set[int] = set()
-            for src, keys, values in sequence:
-                if src != dst:
-                    self.cluster.network.send(
-                        src, dst, (KEY_BYTES + self.value_nbytes) * int(keys.size)
-                    )
-                changed = self.stores[dst].apply_master_bulk(keys, values, op)
-                if changed.size:
-                    changed_list = changed.tolist()
-                    self._any_updated = True
-                    self._updated_masters[dst].update(changed_list)
-                    self._next_active[dst].update(changed_list)
-                    changed_keys.update(changed_list)
-            if changed_keys:
-                keys = np.fromiter(
-                    sorted(changed_keys), dtype=np.int64, count=len(changed_keys)
-                )
-                deltas[dst] = (keys, self.stores[dst].peek_masters(keys))
-        blob = {"deltas": deltas, "updated": self._any_updated}
-        for index, peer in enumerate(pool.exchange_shards(blob, record=record)):
-            if index == pool.index:
-                continue
-            if peer["updated"]:
-                self._any_updated = True
-            for dst, (keys, values) in peer["deltas"].items():
-                self.stores[dst].poke_masters(keys, values)
-                key_list = keys.tolist()
-                self._updated_masters[dst].update(key_list)
-                self._next_active[dst].update(key_list)
-        for store in self.stores:
-            store.drop_remote()
-
     def _apply_at_owner(self, owner: int, key: int, value: Any, op: ReduceOp) -> None:
         changed = self.stores[owner].apply_master(key, value, op)
         if changed:
@@ -799,19 +685,12 @@ class NodePropMap:
         for store in self.stores:
             store.unpin()
 
-    def broadcast_sync(self, pool: Any = None) -> None:
-        """Push updated master values to pinned mirrors (one-way traffic).
-
-        With ``pool`` (host-shard backend mid-run) the fan-out shards by
-        owner host: see :meth:`_broadcast_sharded`.
-        """
+    def broadcast_sync(self) -> None:
+        """Push updated master values to pinned mirrors (one-way traffic)."""
         if not self._pinned or not self.variant.uses_gar:
             return
-        with self.cluster.phase(PhaseKind.BROADCAST_SYNC, label=self.name) as record:
-            if pool is not None:
-                self._broadcast_sharded(pool, record)
-            else:
-                self._broadcast(full=False)
+        with self.cluster.phase(PhaseKind.BROADCAST_SYNC, label=self.name):
+            self._broadcast(full=False)
 
     def _mirror_targets(self, invariant: str) -> list[dict[int, np.ndarray]]:
         """fan-out[owner][mirror_host] -> global ids to feed, after elision."""
@@ -873,47 +752,6 @@ class NodePropMap:
                     self._next_active[mirror_host].update(selected.tolist())
         # Keys may have mirrors on several hosts, so the pending sets only
         # clear after the whole fan-out ran.
-        for owner_host in range(self.cluster.num_hosts):
-            self._updated_masters[owner_host].clear()
-
-    def _broadcast_sharded(self, pool: Any, record: Any) -> None:
-        """Owner-sharded :meth:`_broadcast` (the ``jobs=N`` backend).
-
-        Each process runs the fan-out only for owner hosts in its shard,
-        charging the sends, the owner-side serves, and the mirror-side
-        writes of exactly that work (mirror hosts may lie outside the
-        shard - the all-gather's full counter-row merge accounts them on
-        the coordinator). One all-gather then ships the written mirror
-        slabs so every replica converges. A key has one owner, so fan-out
-        writes are disjoint across processes and the merged charges are
-        additive-identical to the serial owner scan.
-        """
-        fan_out = self._mirror_targets(self._pin_invariant)
-        outgoing: list[tuple[int, np.ndarray, list[Any]]] = []
-        for owner_host in pool.shard:
-            pending = self._updated_masters[owner_host]
-            if not pending:
-                continue
-            pending_mask = self._pending_mask(pending)
-            for mirror_host, ids in fan_out[owner_host].items():
-                selected = ids[pending_mask[ids]]
-                if selected.size == 0:
-                    continue
-                self.cluster.network.send(
-                    owner_host,
-                    mirror_host,
-                    (KEY_BYTES + self.value_nbytes) * selected.size,
-                )
-                values = self.stores[owner_host].serve_master_bulk(selected)
-                self.stores[mirror_host].write_mirror_bulk(selected, values)
-                self._next_active[mirror_host].update(selected.tolist())
-                outgoing.append((mirror_host, selected, values))
-        for index, peer in enumerate(pool.exchange_shards(outgoing, record=record)):
-            if index == pool.index:
-                continue
-            for mirror_host, keys, values in peer:
-                self.stores[mirror_host].poke_mirrors(keys, values)
-                self._next_active[mirror_host].update(keys.tolist())
         for owner_host in range(self.cluster.num_hosts):
             self._updated_masters[owner_host].clear()
 
@@ -1089,108 +927,6 @@ class NodePropMap:
         else:
             canonical = len(store.owned)
         return canonical + store.remote_cache_size
-
-    def export_compute_effects(self, host: int) -> tuple:
-        """One host's compute-phase side effects, for the host-shard
-        exchange (``repro.exec.pool``).
-
-        Compute phases mutate exactly four things on the computing host:
-        the pending reduction state, the request bitset, the duplicate
-        request log, and the map's bound reduction operator. Everything
-        else (stores, activity sets, updated flags) changes only during
-        sync collectives, which every process replays identically. The
-        state is *cumulative* since the last reduce-sync, so installing an
-        export replaces the receiver's copy wholesale - re-installing a
-        newer export of the same host stays correct (replacement, not
-        accumulation). The operator ships by name: ``ReduceOp`` closes
-        over lambdas, which do not cross process boundaries.
-        """
-        return (
-            self._op.name if self._op is not None else None,
-            self.reductions[host].export_state(),
-            self.bitsets[host].export_state(),
-            list(self._dup_requests[host]),
-        )
-
-    def install_compute_effects(
-        self, host: int, effects: tuple, resolve_op: Callable[[str, str], ReduceOp]
-    ) -> None:
-        """Install another process's exported compute effects for ``host``.
-
-        ``resolve_op(map_name, op_name)`` maps a shipped operator name back
-        to a live ``ReduceOp`` (the pool builds the table from the named
-        reducers plus the plan's kernels).
-        """
-        op_name, reduction_state, request_bits, dup_requests = effects
-        if op_name is not None:
-            if self._op is None:
-                self._op = resolve_op(self.name, op_name)
-            elif self._op.name != op_name:
-                raise ValueError(
-                    f"map {self.name!r} reduced with {op_name!r} on another "
-                    f"process after {self._op.name!r} here; a map uses a "
-                    "single reduction operator per loop"
-                )
-        self.reductions[host].install_state(reduction_state)
-        self.bitsets[host].install_state(request_bits)
-        self._dup_requests[host] = list(dup_requests)
-
-    def export_epoch_state(self) -> dict:
-        """All mutable state, in a picklable form, for the parallel pool's
-        warm-run epoch protocol (``repro.exec.pool``).
-
-        Between plan runs only the coordinator executes driver code
-        (mirror pinning, value resets, reducer syncs), so a warm run
-        starts by replacing the workers' replica wholesale. Unlike
-        :meth:`checkpoint_state` this form crosses process boundaries:
-        the reduction operator ships by name (``ReduceOp`` closes over
-        lambdas), GAR stores export numeric value slabs when they can
-        (zero-copy through the shared-memory arena), and the compute-phase
-        effect state rides along explicitly (a restore clears it).
-        """
-        state = {
-            "stores": [store.export_epoch() for store in self.stores],
-            "any_updated": self._any_updated,
-            "updated_masters": [set(s) for s in self._updated_masters],
-            "active": [set(s) for s in self._active],
-            "next_active": [set(s) for s in self._next_active],
-            "op": self._op.name if self._op is not None else None,
-            "pinned": self._pinned,
-            "pin_invariant": self._pin_invariant,
-            "fx": [
-                self.export_compute_effects(host)
-                for host in range(self.cluster.num_hosts)
-            ],
-        }
-        if self.variant.uses_kvstore:
-            assert self.kv_client is not None
-            state["kv"] = [
-                server.snapshot_prefix(self._kv_prefix())
-                for server in self.kv_client.servers
-            ]
-        return state
-
-    def install_epoch_state(
-        self, state: dict, resolve_op: Callable[[str, str], ReduceOp]
-    ) -> None:
-        """Replace this replica's state with another process's export."""
-        for store, store_state in zip(self.stores, state["stores"]):
-            store.install_epoch(store_state)
-        self._any_updated = state["any_updated"]
-        self._updated_masters = [set(s) for s in state["updated_masters"]]
-        self._active = [set(s) for s in state["active"]]
-        self._next_active = [set(s) for s in state["next_active"]]
-        self._invalidate_active_cache()
-        op_name = state["op"]
-        self._op = None if op_name is None else resolve_op(self.name, op_name)
-        self._pinned = state["pinned"]
-        self._pin_invariant = state["pin_invariant"]
-        if self.variant.uses_kvstore:
-            assert self.kv_client is not None
-            for server, snapshot in zip(self.kv_client.servers, state["kv"]):
-                server.restore_prefix(self._kv_prefix(), snapshot)
-        for host, effects in enumerate(state["fx"]):
-            self.install_compute_effects(host, effects, resolve_op)
 
     def checkpoint_state(self) -> dict:
         """Copy all mutable distributed state, for restore-and-replay.

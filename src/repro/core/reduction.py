@@ -375,37 +375,11 @@ class ThreadLocalReduction:
             total += int(self._batch[1].size)
         return total
 
-    def export_state(self) -> tuple:
-        """Complete pending-reduction state, for the host-shard exchange
-        (``repro.exec.pool``). The returned structure crosses a process
-        boundary via pickle, so sharing references with the live maps is
-        fine - the pipe serializes a snapshot."""
-        return ("tl", self.maps, self._batch)
-
-    def install_state(self, state: tuple) -> None:
-        """Replace the pending state with an exported snapshot."""
-        tag, maps, batch = state
-        if tag != "tl":  # pragma: no cover - strategies never change mid-run
-            raise ValueError(f"cannot install {tag!r} state into a CF reduction")
-        self.maps = list(maps)
-        self._batch = batch
-
     @property
     def bulk_state_only(self) -> bool:
         """True when no thread holds dict state, so collect_arrays() can
         fold without materializing Python dicts."""
         return not any(self.maps)
-
-    def discard(self) -> None:
-        """Drop all pending state without folding or charging.
-
-        The host-sharded reduce-sync (``repro.exec.pool``) folds each
-        source host's state on exactly one process - the shard owner, who
-        pays the combine charge - and discards the identical replica
-        everywhere else."""
-        for local_map in self.maps:
-            local_map.clear()
-        self._batch = None
 
     def _charge_combine(self) -> None:
         counters = self.cluster.counters(self.host_id)
@@ -615,51 +589,9 @@ class SharedMapReduction:
             total += int(self._bulk_keys.size)
         return total
 
-    def export_state(self) -> tuple:
-        """Complete pending state including the conflict-accounting tables,
-        for the host-shard exchange (see ``ThreadLocalReduction``)."""
-        return (
-            "sm",
-            self.map,
-            self._writers,
-            self._map_writers,
-            self._write_count,
-            self._bulk_keys,
-            self._bulk_vals,
-            self._bulk_first_writer,
-            self._bulk_multi,
-        )
-
-    def install_state(self, state: tuple) -> None:
-        """Replace the pending state with an exported snapshot."""
-        if state[0] != "sm":  # pragma: no cover - strategies never change
-            raise ValueError(
-                f"cannot install {state[0]!r} state into a shared-map reduction"
-            )
-        (
-            _,
-            self.map,
-            self._writers,
-            self._map_writers,
-            self._write_count,
-            self._bulk_keys,
-            self._bulk_vals,
-            self._bulk_first_writer,
-            self._bulk_multi,
-        ) = state
-
     @property
     def bulk_state_only(self) -> bool:
         return not self.map
-
-    def discard(self) -> None:
-        """Drop pending state without charging (see ``ThreadLocalReduction``)."""
-        self.map.clear()
-        self._writers.clear()
-        self._map_writers.clear()
-        self._write_count = 0
-        self._bulk_keys = self._bulk_vals = None
-        self._bulk_first_writer = self._bulk_multi = None
 
     def collect(self, op: ReduceOp) -> dict[int, Any]:
         del op  # combining happened eagerly, amortized into compute

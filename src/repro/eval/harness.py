@@ -276,8 +276,6 @@ def run_kimbap(
     memory_limit_slots: int | None = None,
     bulk: bool = False,
     jobs: int = 1,
-    chaos_plan: Any | None = None,
-    recovery: str = "fail-fast",
     codegen: bool | None = None,
     engine: str = "bsp",
     **kwargs: Any,
@@ -291,10 +289,9 @@ def run_kimbap(
 
     ``bulk`` selects the executor backend (scalar reference vs vectorized
     bulk) for the whole run - the backend is an executor property, not a
-    per-algorithm flag, so every application supports it. ``jobs`` fans
-    shardable compute phases out to that many OS processes
-    (``repro.exec.pool``); it composes with either backend and preserves
-    byte-identical results by contract. ``codegen`` controls the
+    per-algorithm flag, so every application supports it. ``jobs`` must
+    be 1: the simulator runs in one process, and the parameter stays for
+    callers that pass it. ``codegen`` controls the
     plan-to-kernel generation stage (``repro.exec.codegen``; None = on
     for the bulk backend); ``codegen=False`` pins the interpreted bulk
     kernels, byte-identical by contract.
@@ -305,16 +302,16 @@ def run_kimbap(
     simulated OOM and non-quiescence - come back as a ``RunResult`` with
     ``outcome`` set instead of raising.
 
-    ``recovery`` arms the self-healing pool (``"refork"``/``"reshard"``)
-    and ``chaos_plan`` (a :class:`repro.faults.chaos.ChaosPlan`) delivers
-    real SIGKILL/SIGTERM/OOM kills to workers at chosen sync boundaries -
-    a healed run stays byte-identical to an undisturbed ``jobs=1`` run.
-
     ``engine`` picks the drive loop (``repro.exec.engine``): ``"bsp"``
     (default) is the byte-identity oracle; ``"async"`` schedules
     residual-declared plans (PR, SSSP, CC-LP, BFS) barrier-free with
     priority/delta ordering, verified by value-equivalence instead.
     """
+    if jobs != 1:
+        raise ValueError(
+            f"jobs={jobs}: parallel execution was removed; "
+            "every run uses one process (jobs=1)"
+        )
     if graph is None:
         graph = load_graph(graph_name, weighted=APP_WEIGHTED.get(app, False))
     if pgraph is None:
@@ -325,27 +322,12 @@ def run_kimbap(
     injector = None
     if fault_plan is not None:
         injector = install_faults(cluster, fault_plan)
-    executor = Executor(
-        cluster,
-        bulk=bulk,
-        jobs=jobs,
-        recovery=recovery,
-        chaos=chaos_plan,
-        codegen=codegen,
-        engine=engine,
-    )
+    executor = Executor(cluster, bulk=bulk, codegen=codegen, engine=engine)
     label = "Kimbap" if variant is RuntimeVariant.KIMBAP else f"Kimbap[{variant.label}]"
     try:
-        try:
-            result = KIMBAP_APPS[app](
-                cluster, pgraph, variant=variant, executor=executor, **kwargs
-            )
-        finally:
-            # Reap the worker pool (and its /dev/shm segments) no matter
-            # how the run ends; grab the exchange stats first - close()
-            # drops the pool.
-            parallel_stats = executor.parallel_stats()
-            executor.close()
+        result = KIMBAP_APPS[app](
+            cluster, pgraph, variant=variant, executor=executor, **kwargs
+        )
     except SimulatedOutOfMemory as oom:
         run = _failed(
             label,
@@ -385,7 +367,6 @@ def run_kimbap(
     run.engine = executor.engine.name
     # Side-channel instrumentation only: not a dataclass field, so it never
     # enters to_dict() and cannot perturb the byte-identity contract.
-    run.parallel = parallel_stats
     run.async_stats = (
         {
             "updates": executor.engine.last_updates,

@@ -46,12 +46,11 @@ The byte-identity contract is the same one the bulk backend honors
 against the scalar oracle: a compiled run's ``RunResult.to_dict()`` -
 counters, conflicts, modeled seconds, trace rows - matches the
 interpreted bulk path exactly (``tests/test_codegen_equivalence.py``).
-Composition rules mirror the ``jobs=N`` pool gating (PR 6): fusion is
-disabled when a fault injector is installed (its ``on_phase_start`` hook
-needs the serial per-phase cadence) or when a memory limit is set (an OOM
-can surface on a different host under the fused per-host interleave);
-specialization alone stays on everywhere because it preserves the exact
-per-host event sequence.
+Fusion is disabled when a fault injector is installed (its
+``on_phase_start`` hook needs the serial per-phase cadence) or when a
+memory limit is set (an OOM can surface on a different host under the
+fused per-host interleave); specialization alone stays on everywhere
+because it preserves the exact per-host event sequence.
 """
 
 from __future__ import annotations
@@ -512,15 +511,12 @@ def run_hosted(
     body: _SpecializedKernel,
     kind: Any,
     label: str = "",
-    hosts: Any | None = None,
 ) -> None:
     """The specialized-kernel driver: ``par_for_bulk``'s phase/accounting
-    shell without the per-round context construction. Signature-compatible
-    with the pool's ``run_sharded`` driver slot (``hosts`` restricts the
-    visit to a shard)."""
+    shell without the per-round context construction."""
     operator = label or type(body).__name__
     with cluster.phase(kind, label=label, operator=operator):
-        for host in range(cluster.num_hosts) if hosts is None else hosts:
+        for host in range(cluster.num_hosts):
             part = pgraph.parts[host]
             total = len(_iteration_set(part, mode))
             cluster.counters(host).node_iters += total
@@ -553,12 +549,6 @@ class FusedGroup:
     independent inside a BSP phase, reductions are per-host state, and no
     constituent reads a map another constituent writes (the fusion
     compatibility rule), so the per-host interleave is unobservable.
-
-    Under ``jobs=N`` the group runs over the local host shard when *every*
-    constituent is shardable (the records then queue into the pool's
-    pending exchange in step order, see ``HostShardPool.defer_fused``);
-    otherwise the whole group runs replicated after a flush, mirroring the
-    single-operator fallback.
     """
 
     __slots__ = ("ops", "labels", "specs")
@@ -572,25 +562,14 @@ class FusedGroup:
 
     def run(self, executor, pgraph) -> None:
         cluster = executor.cluster
-        pool = executor._pool
-        sharded = False
-        hosts = range(cluster.num_hosts)
-        if pool is not None and pool.active:
-            if all(pool.shardable(c.operator) for c in self.ops):
-                sharded = True
-                hosts = pool.shard
-            else:
-                pool.flush()
         with cluster.fused_phases(self.specs, fused=self.labels) as records:
-            for host in hosts:
+            for host in range(cluster.num_hosts):
                 part = pgraph.parts[host]
                 for compiled, record in zip(self.ops, records):
                     cluster.activate_phase(record)
                     total = len(_iteration_set(part, compiled.operator.space))
                     record.counters[host].node_iters += total
                     compiled.body.run_host(cluster, part, host)
-        if sharded:
-            pool.defer_fused([c.operator for c in self.ops], records)
 
 
 class CompiledPlan:
@@ -674,9 +653,9 @@ def _rw_compatible(group: list[Operator], nxt: Operator) -> bool:
 
 
 def fusion_enabled(executor) -> bool:
-    """Fusion gating, mirroring the PR 6 pool pattern: the fault injector
-    needs its per-phase serial cadence, and a memory limit could surface
-    an OOM on a different host under the fused interleave."""
+    """Fusion gating: the fault injector needs its per-phase serial
+    cadence, and a memory limit could surface an OOM on a different host
+    under the fused interleave."""
     return (
         executor.bulk
         and executor.codegen

@@ -1,17 +1,16 @@
 """Pluggable execution engines: who owns the drive loop.
 
 The :class:`~repro.exec.executor.Executor` owns kernel dispatch (scalar vs
-bulk bodies, codegen, the host-shard pool endpoints); an :class:`Engine`
+bulk bodies, codegen); an :class:`Engine`
 owns *when* those kernels run - round scheduling, convergence, quiesce,
 checkpoint hooks. Two engines ship:
 
 * :class:`BSPEngine` - the bulk-synchronous loop, extracted verbatim from
   the pre-engine ``Executor``: one pass over the plan's steps per round,
   sync collectives as barriers, ``run_recoverable_loop`` for
-  checkpoint/recovery, the self-healing supervisor for ``jobs=N``. It is
-  the byte-identity oracle: running through it produces bit-for-bit the
-  same counters, traffic, modeled seconds and values as before the
-  extraction, for every app x backend x jobs x fault plan.
+  checkpoint/recovery. It is the byte-identity oracle: running through it
+  produces bit-for-bit the same counters, traffic, modeled seconds and
+  values as before the extraction, for every app x backend x fault plan.
 
 * :class:`AsyncEngine` - GraphLab-style vertex-consistency execution with
   priority/delta scheduling: a per-node residual priority queue, the
@@ -47,7 +46,6 @@ from repro.exec.plan import (
     ResidualDecl,
     apply_value_filter,
 )
-from repro.exec.pool import HEALABLE_ERRORS
 from repro.faults.recovery import run_recoverable_loop
 from repro.runtime.engine import NonQuiescenceError
 
@@ -62,11 +60,9 @@ class UnsupportedPlanError(ValueError):
 class Engine:
     """The drive-loop interface: schedules a plan's kernels to completion.
 
-    Engines borrow everything stateful from their executor (cluster, pool,
+    Engines borrow everything stateful from their executor (cluster,
     compiled plans); they own only control flow. ``run`` executes a whole
-    plan and returns completed rounds (0 for ``once`` plans); ``drive`` is
-    the loop body re-entry point the host-shard pool uses to replay or
-    resume a plan on worker processes.
+    plan and returns completed rounds (0 for ``once`` plans).
     """
 
     name = "?"
@@ -77,16 +73,13 @@ class Engine:
     def run(self, plan: Plan) -> int:
         raise NotImplementedError
 
-    def drive(self, plan: Plan, resume_rounds: int | None = None) -> int:
-        raise NotImplementedError
-
 
 class BSPEngine(Engine):
     """Today's bulk-synchronous loop, extracted unchanged from ``Executor``.
 
-    Every method body here is a pure move: the byte-identity suites (bulk,
-    parallel, chaos, codegen equivalence) pass unmodified against it, and
-    ``--engine bsp`` reports are ``cmp``-equal to pre-refactor output.
+    The byte-identity suites (bulk and codegen equivalence) run through
+    it, and ``--engine bsp`` reports are ``cmp``-equal to pre-refactor
+    output.
     """
 
     name = "bsp"
@@ -94,36 +87,8 @@ class BSPEngine(Engine):
     def run(self, plan: Plan) -> int:
         """Execute a plan; returns completed rounds (0 for ``once`` plans)."""
         executor = self.executor
-        pool = executor._ensure_pool(plan)
-        # pool.active means this is a nested run launched from a HostStep
-        # of an in-flight parallel run: it replays replicated on every
-        # process (the outer run's replay reaches this same call), so it
-        # must not re-frame the epoch protocol.
-        if pool is not None and not pool.active and pool.begin_run(plan):
-            # The worker group is persistent and warm: begin_run reuses the
-            # forked workers when they already know this plan (epoch blob
-            # resynchronizes their state), reforks when they cannot (new
-            # plan: kernels close over lambdas and only fork inheritance
-            # ships them), and end_run parks them for the next run.
-            failed = True
-            try:
-                rounds = self.drive(plan)
-                failed = False
-                return rounds
-            finally:
-                pool.end_run(failed)
-        return self.drive(plan)
-
-    def drive(self, plan: Plan, resume_rounds: int | None = None) -> int:
-        """The plan loop proper, replayed identically by every process of
-        a parallel run (the pool endpoint decides shard vs replicated work
-        per phase inside ``Executor._run_operator``). ``resume_rounds``
-        re-enters an in-flight loop on a heal-time replacement worker (see
-        :meth:`HostShardPool.heal`)."""
-        executor = self.executor
         if plan.once:
-            executor.cluster.loop_rounds = 0
-            self._guarded_round(plan)
+            executor.run_round(plan)
             return 0
         quiesce = tuple(plan.quiesce)
         maps = tuple(plan.maps) if plan.maps else quiesce
@@ -150,7 +115,7 @@ class BSPEngine(Engine):
         return run_recoverable_loop(
             executor.cluster,
             list(maps),
-            lambda: self._guarded_round(plan),
+            lambda: executor.run_round(plan),
             converged=converged,
             before_round=before_round,
             max_rounds=plan.max_rounds,
@@ -158,48 +123,7 @@ class BSPEngine(Engine):
             extra_snapshot=plan.extra_snapshot,
             extra_restore=plan.extra_restore,
             on_max_rounds=on_max_rounds,
-            resume_rounds=resume_rounds,
         )
-
-    def _guarded_round(self, plan: Plan) -> None:
-        """One round, wrapped in the self-healing supervisor when it is on.
-
-        The coordinator snapshots the round-start state, runs the round,
-        and on a healable failure (:data:`~repro.exec.pool.HEALABLE_ERRORS`)
-        asks the pool to heal - reap the group, roll back to the snapshot,
-        re-fork or reshard - then retries the round. When resharding
-        degrades the pool to a single shard the retry runs serially, which
-        is the ``jobs=1`` oracle. Workers never guard (the coordinator
-        replaces the whole group); with healing off this is exactly
-        ``run_round``.
-        """
-        executor = self.executor
-        pool = executor._pool
-        if (
-            pool is None
-            or pool.is_worker
-            or not pool.healing
-            or not pool.active
-            or pool._guard_depth
-        ):
-            executor.run_round(plan)
-            return
-        pool._guard_depth += 1
-        try:
-            snapshot = pool.snapshot_round(plan)
-            while True:
-                try:
-                    executor.run_round(plan)
-                    return
-                except HEALABLE_ERRORS as err:
-                    pool.heal(err, plan, snapshot)
-                    if not pool.active:
-                        # Degraded to the serial path mid-run: finish this
-                        # round (and the rest of the loop) as jobs=1.
-                        executor.run_round(plan)
-                        return
-        finally:
-            pool._guard_depth = 0
 
 
 class AsyncEngine(Engine):
@@ -262,10 +186,6 @@ class AsyncEngine(Engine):
         if decl.mode == "monotone":
             return self._run_monotone(plan, kernel, decl)
         return self._run_accumulate(plan, kernel, decl)
-
-    def drive(self, plan: Plan, resume_rounds: int | None = None) -> int:
-        # Worker replay is a BSP-pool concern; the async engine never forks.
-        return self._bsp.drive(plan, resume_rounds)
 
     def _residual_kernel(self, plan: Plan) -> EdgePush:
         for step in plan.steps:

@@ -10,13 +10,6 @@ byte-identical across backends (counters, conflicts, modeled seconds,
 values) - the contract ``tests/test_bulk_equivalence.py`` enforces for
 all twelve algorithms.
 
-``jobs=N`` composes with either kernel backend: each plan run forks
-``N - 1`` worker processes that replay the same plan loop over disjoint
-host shards and exchange per-phase effect bundles with the coordinator
-(see :mod:`repro.exec.pool`), merged in fixed host order so the run
-stays byte-identical to ``jobs=1`` - the contract
-``tests/test_parallel_equivalence.py`` enforces.
-
 :class:`~repro.exec.plan.ScalarKernel` bodies run as the same scalar
 loop on both backends (the way the MC runtime variant degrades to the
 scalar path by design): byte-identity is structural, and such kernels
@@ -64,7 +57,7 @@ from repro.exec.codegen import (
     compile_plan,
     fusion_enabled,
 )
-from repro.exec.engine import BSPEngine, Engine, make_engine
+from repro.exec.engine import Engine, make_engine
 from repro.exec.plan import (
     DegreeReduce,
     EdgePush,
@@ -72,7 +65,6 @@ from repro.exec.plan import (
     Plan,
     apply_value_filter,
 )
-from repro.exec.pool import HostShardPool, create_pool
 from repro.runtime.engine import (
     BulkOperatorContext,
     OperatorContext,
@@ -106,9 +98,6 @@ class Executor:
         cluster: Cluster,
         bulk: bool = False,
         observer: Callable[[Plan], None] | None = None,
-        jobs: int = 1,
-        recovery: str = "fail-fast",
-        chaos: Any | None = None,
         codegen: bool | None = None,
         engine: str | Engine = "bsp",
         engine_options: dict[str, Any] | None = None,
@@ -126,37 +115,13 @@ class Executor:
         # between runs must recompile fusion away).
         self._compiled_plans: dict[int, tuple[Plan, bool, CompiledPlan]] = {}
         self.observer = observer
-        # jobs > 1 fans shardable compute phases out to jobs processes
-        # (coordinator included); merge order keeps results byte-identical.
-        self.jobs = max(1, int(jobs))
-        # Self-healing knobs (see repro.exec.pool): "refork" replaces a
-        # dead worker with a fresh fork of the rolled-back coordinator,
-        # "reshard" re-deals the dead worker's hosts onto survivors, and
-        # "fail-fast" (the default) keeps the legacy raise-through path.
-        # ``chaos`` is a repro.faults.chaos.ChaosPlan delivering real
-        # kills to workers at chosen sync boundaries.
-        if recovery not in ("fail-fast", "refork", "reshard"):
-            raise ValueError(
-                f"unknown recovery policy {recovery!r}; "
-                "use 'fail-fast', 'refork', or 'reshard'"
-            )
-        self.recovery = recovery
-        self.chaos = chaos
-        self._pool: HostShardPool | None = None
-        # The drive loop lives in the engine layer (repro.exec.engine);
+        # The drive loop lives in the engine layer (repro.exec.engine):
         # "bsp" is the byte-identity oracle, "async" the barrier-free
-        # priority/delta scheduler. Pool workers always replay the BSP
-        # loop (see _drive), so the async engine excludes jobs>1.
-        self._bsp_engine = BSPEngine(self)
+        # priority/delta scheduler.
         if isinstance(engine, Engine):
             self.engine = engine
         else:
             self.engine = make_engine(self, engine, **(engine_options or {}))
-        if self.engine.name != "bsp" and self.jobs > 1:
-            raise ValueError(
-                f"engine {self.engine.name!r} does not compose with jobs="
-                f"{self.jobs}; host-shard parallelism replays the BSP loop"
-            )
 
     # ------------------------------------------------------ map lifecycle
 
@@ -189,48 +154,6 @@ class Executor:
             self.observer(plan)
         return self.engine.run(plan)
 
-    def _ensure_pool(self, plan: Plan):
-        """The executor-lifetime pool (or None while parallelism cannot
-        apply: ``jobs=1``, no fork, or no plan so far with a shardable
-        phase - a later plan may still create it)."""
-        if self.jobs <= 1 or self._pool is not None:
-            return self._pool
-        self._pool = create_pool(self, plan)
-        return self._pool
-
-    def close(self) -> None:
-        """Reap the worker pool and release its shared-memory segments.
-
-        Idempotent; harness and tests call it (or rely on ``__del__``)
-        once the run is over. Worker processes never call it - they exit
-        via ``os._exit`` without touching shared segments.
-        """
-        pool = self._pool
-        if pool is not None and not pool.is_worker:
-            self._pool = None
-            pool.shutdown()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def parallel_stats(self) -> dict[str, int] | None:
-        """Exchange instrumentation of the parallel backend (None when no
-        pool ever forked): bytes exchanged, peak live shared segments,
-        forks, and warm (fork-free) run reuses."""
-        return None if self._pool is None else self._pool.stats()
-
-    def _drive(self, plan: Plan, resume_rounds: int | None = None) -> int:
-        """The BSP plan loop, replayed identically by every process of a
-        parallel run (the pool endpoint decides shard vs replicated work
-        per phase inside :meth:`_run_compiled_operator`). Pool workers call
-        this directly - worker replay and heal-time resume
-        (``resume_rounds``) are BSP-loop concepts, so this always drives
-        through the BSP engine regardless of the selected engine."""
-        return self._bsp_engine.drive(plan, resume_rounds=resume_rounds)
-
     def compiled(self, plan: Plan) -> CompiledPlan:
         """The cached compiled form of ``plan`` for this binding.
 
@@ -248,15 +171,7 @@ class Executor:
         return compiled
 
     def run_round(self, plan: Plan) -> None:
-        """One pass over the plan's compiled entries (one BSP round).
-
-        Any non-compute entry is a sync boundary for the parallel pool:
-        deferred sharded-phase effects must be exchanged before a sync
-        collective, reset, or host step reads them, and again at the end
-        of the round (quiescence flags, checkpoints, and between-round
-        callbacks read the merged state).
-        """
-        pool = self._pool
+        """One pass over the plan's compiled entries (one BSP round)."""
         for tag, payload in self.compiled(plan).entries:
             if tag == ENTRY_OPERATOR:
                 self._run_compiled_operator(plan.pgraph, payload)
@@ -264,48 +179,20 @@ class Executor:
             if tag == ENTRY_FUSED:
                 payload.run(self, plan.pgraph)
                 continue
-            if pool is not None and pool.active:
-                pool.flush()
             if tag == ENTRY_SYNC:
-                # The sync collectives themselves shard across the pool
-                # (owner-host dealing; see NodePropMap._sgr_reduce_sharded
-                # and _broadcast_sharded) - without this the replicated
-                # reduce/broadcast dominates the bulk run's wall clock and
-                # caps jobs=N speedup well below 2x. Gated off under fault
-                # injection (defer=False) so per-send fault draws replay in
-                # the exact serial order.
-                sync_pool = (
-                    pool if pool is not None and pool.active and pool.defer else None
-                )
                 if payload.action == "request":
                     payload.map.request_sync()
                 elif payload.action == "reduce":
-                    payload.map.reduce_sync(pool=sync_pool)
+                    payload.map.reduce_sync()
                 else:
-                    payload.map.broadcast_sync(pool=sync_pool)
+                    payload.map.broadcast_sync()
             else:  # ENTRY_EXEC: a prebound reset or host callable
                 payload()
-        if pool is not None and pool.active:
-            pool.flush()
 
     # --------------------------------------------------- kernel dispatch
 
     def _run_compiled_operator(self, pgraph, compiled: CompiledOperator) -> None:
         operator = compiled.operator
-        pool = self._pool
-        if pool is not None and pool.active:
-            if pool.shardable(operator):
-                pool.run_sharded(
-                    self.cluster, compiled.driver, pgraph, operator, compiled.body
-                )
-                return
-            # A replicated phase reads whatever state the sharded phases
-            # before it produced (request dedup against foreign bitsets,
-            # pending reductions): exchange the deferred effects first.
-            pool.flush()
-        # Serial run, or a phase the plan metadata cannot prove shardable:
-        # every process executes every host (replicated - state stays
-        # identical across the group with no exchange).
         compiled.driver(
             self.cluster,
             pgraph,

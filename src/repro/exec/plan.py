@@ -86,7 +86,7 @@ class ActiveFilter:
     """Declarative activity filter: keep sources whose ``map`` copy
     changed last round (the data-driven frontier). ``EdgePush``
     normalizes this to its ``require_active`` map, so downstream layers
-    (reads metadata, pool carriers, both interpreters) see the map they
+    (reads metadata, both interpreters) see the map they
     always did; declaring the spec documents intent and keeps algorithm
     code fully declarative."""
 
@@ -304,8 +304,8 @@ class EdgePush:
 
     def __post_init__(self) -> None:
         # ActiveFilter is declarative sugar over the require_active map:
-        # normalize here so every downstream layer (reads metadata, pool
-        # carriers, both interpreters, codegen) handles one form.
+        # normalize here so every downstream layer (reads metadata, both
+        # interpreters, codegen) handles one form.
         if isinstance(self.require_active, ActiveFilter):
             self.require_active = self.require_active.map
 
@@ -368,33 +368,11 @@ class ScalarKernel:
     """An opaque per-node body run as the scalar reference loop on both
     backends. ``read_names``/``write_names`` declare the maps touched so
     plans stay introspectable (``repro plan``) even for opaque bodies.
-
-    Three further declarations exist for the host-shard execution layer
-    (``repro.exec.pool``), which fans compute phases out to worker
-    processes and must know everything a body can mutate:
-
-    * ``ops`` - non-canonical ``ReduceOp`` instances the body reduces
-      with (canonical named reducers resolve automatically). Operators
-      ship by name between processes and need a live object per name; a
-      body whose declared write reducers cannot all be resolved runs
-      replicated on every process instead of sharded - still correct,
-      just not sped up.
-    * ``extra_effects`` - effect carriers beyond the named maps whose
-      per-host state the body mutates (e.g. a ``BoolReducer``'s host
-      flags). Anything exposing ``export_compute_effects(host)`` /
-      ``install_compute_effects(host, effects, resolve_op)`` qualifies.
-    * ``host_local`` - set False when the body mutates host-global state
-      that is *not* per-host addressable (appends to a result set, bumps
-      a shared counter). Such phases run replicated on every process
-      (identical state evolution everywhere) instead of sharded.
     """
 
     body: Callable[[OperatorContext], None]
     read_names: tuple[str, ...] = ()
     write_names: tuple[tuple[str, str], ...] = ()
-    ops: tuple[ReduceOp, ...] = ()
-    extra_effects: tuple[Any, ...] = ()
-    host_local: bool = True
 
     @property
     def form(self) -> str:

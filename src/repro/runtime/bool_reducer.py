@@ -38,28 +38,3 @@ class BoolReducer:
 
     def read(self) -> bool:
         return self._value
-
-    # Effect-carrier protocol (repro.exec.pool): the host flag is the only
-    # state a compute phase mutates, and it is per-host addressable, so a
-    # kernel that reduces into this object stays shardable by declaring it
-    # in ``ScalarKernel.extra_effects``.
-
-    def export_compute_effects(self, host: int) -> bool:
-        return self._flags[host]
-
-    def install_compute_effects(self, host: int, effects: bool, resolve_op) -> None:
-        del resolve_op  # uniform carrier signature; no operators to resolve
-        self._flags[host] = bool(effects)
-
-    # Epoch protocol (warm worker reuse): between plan runs only the
-    # coordinator executes driver code (``set_all``, ``sync``), so a new
-    # run starts by replacing the workers' copy of the full state.
-
-    def export_epoch_state(self) -> tuple[list[bool], bool]:
-        return list(self._flags), self._value
-
-    def install_epoch_state(self, state, resolve_op) -> None:
-        del resolve_op
-        flags, value = state
-        self._flags = list(flags)
-        self._value = bool(value)

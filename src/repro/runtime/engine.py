@@ -161,19 +161,11 @@ def par_for(
     body: Callable[[OperatorContext], None],
     kind: PhaseKind = PhaseKind.REDUCE_COMPUTE,
     label: str = "",
-    hosts: Sequence[int] | None = None,
 ) -> None:
-    """Run ``body`` once per active node on every host, inside one phase.
-
-    ``hosts`` restricts the visit to a subset of hosts (ascending order
-    expected): the host-shard execution of ``repro.exec.pool``, where each
-    worker process drives only the hosts it owns. Per-host work is
-    independent inside a phase (the BSP contract), so the restricted visit
-    produces exactly the serial per-host effects for the visited hosts.
-    """
+    """Run ``body`` once per active node on every host, inside one phase."""
     operator = label or getattr(body, "__qualname__", getattr(body, "__name__", ""))
     with cluster.phase(kind, label=label, operator=operator):
-        for host in range(cluster.num_hosts) if hosts is None else hosts:
+        for host in range(cluster.num_hosts):
             part = pgraph.parts[host]
             items = _iteration_set(part, mode)
             total = len(items)
@@ -200,7 +192,6 @@ def par_for_bulk(
     body: Callable[[BulkOperatorContext], None],
     kind: PhaseKind = PhaseKind.REDUCE_COMPUTE,
     label: str = "",
-    hosts: Sequence[int] | None = None,
 ) -> None:
     """The bulk ParFor: one ``body`` call per host, whole iteration set.
 
@@ -209,12 +200,11 @@ def par_for_bulk(
     counts, and folded values to :func:`par_for` - ``node_iters`` is
     charged in aggregate, thread dealing comes from the closed-form chunk
     bounds of ``static_thread``, and bulk map operations match their scalar
-    counterparts event-for-event. ``hosts`` restricts the visit to a host
-    shard, as in :func:`par_for`.
+    counterparts event-for-event.
     """
     operator = label or getattr(body, "__qualname__", getattr(body, "__name__", ""))
     with cluster.phase(kind, label=label, operator=operator):
-        for host in range(cluster.num_hosts) if hosts is None else hosts:
+        for host in range(cluster.num_hosts):
             part = pgraph.parts[host]
             total = len(_iteration_set(part, mode))
             cluster.counters(host).node_iters += total

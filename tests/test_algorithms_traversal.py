@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import networkx as nx
 import pytest
@@ -66,6 +67,19 @@ class TestSsspDetails:
     def test_bad_source_rejected(self):
         with pytest.raises(ValueError):
             run(sssp, GRAPHS["road"], source=10_000)
+
+    def test_negative_weight_rejected_at_entry(self):
+        # A negative undirected edge is a negative cycle: Bellman-Ford would
+        # spin to the round cap instead of quiescing.
+        graph = Graph.from_edge_list(
+            3, [(0, 1), (1, 0), (1, 2), (2, 1)], weights=[1.0, 1.0, -2.0, -2.0]
+        )
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="non-negative edge weights"):
+            run(sssp, graph, source=0)
+        assert time.perf_counter() - started < 1.0
+        # BFS ignores weights, so the same graph stays valid for it.
+        assert run(bfs, graph, source=0).values == {0: 0, 1: 1, 2: 2}
 
     def test_bfs_rounds_track_eccentricity(self):
         graph = generators.path(20)

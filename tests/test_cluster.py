@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, CostModel, ModeledTime
 from repro.cluster.cluster import static_thread
 from repro.cluster.metrics import Counters, PhaseKind
+from repro.eval.harness import run_kimbap
+from repro.graph import generators
 
 
 class TestStaticThread:
@@ -202,3 +204,44 @@ class TestCounters:
             cluster.network.send(1, 0, 50)
         assert cluster.log.total_messages() == 2
         assert cluster.log.total_bytes() == 150
+
+
+class TestBoundaryCache:
+    def test_repeated_lookups_hit(self):
+        cluster = Cluster(2, threads_per_host=4)
+        first = cluster.thread_boundaries(100)
+        again = cluster.thread_boundaries(100)
+        assert again is first
+        assert not again.flags.writeable
+        assert cluster.boundary_cache_misses == 1
+        assert cluster.boundary_cache_hits == 1
+        threads = cluster.threads_of(100)
+        assert cluster.threads_of(100) is threads
+        # threads_of(100) reused the cached bounds, then its own cache;
+        # neither lookup re-derived the boundaries, so misses stay at 1.
+        assert cluster.boundary_cache_hits == 3
+        assert cluster.boundary_cache_misses == 1
+
+    def test_boundaries_match_closed_form(self):
+        cluster = Cluster(1, threads_per_host=3)
+        bounds = cluster.thread_boundaries(10)
+        assert bounds.tolist() == [0, 4, 7, 10]
+        assert cluster.threads_of(10).tolist() == [0] * 4 + [1] * 3 + [2] * 3
+
+    def test_repeated_rounds_hit_the_cache(self):
+        """The micro-benchmark: a real multi-round run re-deals the same
+        per-host item counts every round, so hits must dwarf misses (the
+        miss count is bounded by the distinct item counts, not rounds).
+
+        Pinned to the interpreted bulk path (codegen=False): generated
+        kernels bake the thread arrays at specialization time, so the
+        compiled path stops consulting the cache per round altogether.
+        """
+        graph = generators.erdos_renyi(40, 3.0, seed=3)
+        result = run_kimbap(
+            "PR", "bench", 4, graph=graph, threads=4, bulk=True, codegen=False
+        )
+        cluster = result.cluster
+        assert result.rounds > 2
+        assert cluster.boundary_cache_misses <= 8
+        assert cluster.boundary_cache_hits > cluster.boundary_cache_misses

@@ -46,10 +46,7 @@ def _run(app: str, graph, hosts: int, policy: str, engine: str):
     pgraph = partition(graph, hosts, policy)
     cluster = Cluster(hosts, threads_per_host=4)
     executor = Executor(cluster, engine=engine)
-    try:
-        result = KIMBAP_APPS[app](cluster, pgraph, executor=executor)
-    finally:
-        executor.close()
+    result = KIMBAP_APPS[app](cluster, pgraph, executor=executor)
     return result, executor
 
 
@@ -131,13 +128,6 @@ class TestEngineSelection:
         executor = Executor(cluster)
         engine = BSPEngine(executor)
         assert Executor(cluster, engine=engine).engine is engine
-
-    def test_async_refuses_parallel_jobs(self):
-        """The async chunk schedule is inherently sequential across hosts
-        (owner-serialized apply order); the pool replays BSP rounds."""
-        cluster = Cluster(2, threads_per_host=2)
-        with pytest.raises(ValueError, match="jobs"):
-            Executor(cluster, jobs=2, engine="async")
 
     def test_chunk_size_option_threads_through(self):
         cluster = Cluster(2, threads_per_host=2)

@@ -77,6 +77,11 @@ class TestRunDrivers:
         )
         assert "sgr-only" in result.system
 
+    @pytest.mark.parametrize("jobs", (0, 2, 4))
+    def test_run_kimbap_rejects_parallel_jobs(self, jobs):
+        with pytest.raises(ValueError, match="parallel execution was removed"):
+            run_kimbap("CC-SV", "road", 2, threads=4, jobs=jobs)
+
     def test_run_vite_uses_edge_cut(self):
         result = run_vite("road", 2, threads=4)
         assert result.system == "Vite"

@@ -9,6 +9,7 @@ import pytest
 
 from repro.algorithms import cc_lp, cc_sv, pagerank
 from repro.algorithms.cc_lp import cc_lp_plan
+from repro.algorithms.common import resolve_executor
 from repro.cli import main
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
@@ -264,3 +265,21 @@ class TestPlanCli:
             if step["step"] == "operator"
         ]
         assert "edge-push" in forms and "degree-reduce" in forms
+
+
+class TestBulkDeprecationShim:
+    def test_warns_and_points_at_executor(self):
+        cluster = Cluster(2, threads_per_host=2)
+        with pytest.warns(DeprecationWarning, match=r"Executor\(bulk=\.\.\.\)"):
+            executor = resolve_executor(cluster, None, bulk=True, name="pagerank")
+        assert executor.bulk is True
+
+    def test_explicit_executor_does_not_warn(self):
+        import warnings
+
+        cluster = Cluster(2, threads_per_host=2)
+        executor = Executor(cluster, bulk=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resolved = resolve_executor(cluster, executor, bulk=None)
+        assert resolved is executor

@@ -1,9 +1,9 @@
 """Edge-case coverage for the run-equivalence checkers (``repro.verify``).
 
-These are the gates the fault harness, the chaos CLI, and the async
-engine's oracle comparison all ride on, so their corner semantics - NaN,
-tolerance boundaries, multi-node reporting, per-map overrides - get
-pinned explicitly here.
+These are the gates the fault harness and the async engine's oracle
+comparison both ride on, so their corner semantics - NaN, tolerance
+boundaries, multi-node reporting, per-map overrides - get pinned
+explicitly here.
 """
 
 from __future__ import annotations
