@@ -64,3 +64,7 @@ class TestCommands:
         assert "Vite" in out
         assert "Galois" in out
         assert "speedup over Vite" in out
+
+    def test_engines_uses_default_tolerance(self, capsys):
+        assert main(["engines", "CC-LP", "--graph", "powerlaw", "--hosts", "2"]) == 0
+        assert "equivalence: async values match" in capsys.readouterr().out
